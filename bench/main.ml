@@ -771,7 +771,9 @@ let report_parallel () =
   Engine.Database.add_relation engine ~name:"l" left;
   Engine.Database.add_relation engine ~name:"r" right;
   let config jobs = { Engine.Planner.default_config with jobs } in
-  let config_row = { Engine.Planner.default_config with jobs = 1; chunked = false } in
+  let config_row jobs =
+    { Engine.Planner.default_config with jobs; chunked = false }
+  in
   Printf.printf "synthetic database: l=%d rows, r=%d rows, %d distinct keys\n"
     nl nr nkeys;
   Printf.printf "recommended domain count on this machine: %d\n"
@@ -795,8 +797,8 @@ let report_parallel () =
       ("filter-project", "select a from l where v < 500");
     ]
   in
-  Printf.printf "%-16s %12s %12s %12s %9s %9s\n" "query" "rowexec" "jobs=1"
-    "jobs=4" "speedup" "colgain";
+  Printf.printf "%-16s %12s %12s %12s %12s %9s %9s\n" "query" "rowexec"
+    "rowexec j=4" "jobs=1" "jobs=4" "speedup" "colgain";
   let totals = ref (0.0, 0.0, 0.0) in
   List.iter
     (fun (name, sql) ->
@@ -805,7 +807,7 @@ let report_parallel () =
       in
       if card (config 1) <> card (config 4) then
         failwith (Printf.sprintf "parallel answer mismatch on %s" name);
-      if card config_row <> card (config 1) then
+      if card (config_row 1) <> card (config 1) then
         failwith (Printf.sprintf "row/chunked answer mismatch on %s" name);
       (* each phase runs with the process default pinned to its own
          jobs value, so nothing inherited from the environment leaks
@@ -813,13 +815,17 @@ let report_parallel () =
       Engine.Parallel.set_default_jobs 1;
       let trow =
         time_runs ~name:(name ^ "/rowexec") (fun () ->
-            Engine.Database.query ~config:config_row engine sql)
+            Engine.Database.query ~config:(config_row 1) engine sql)
       in
       let t1 =
         time_runs ~name:(name ^ "/jobs1") (fun () ->
             Engine.Database.query ~config:(config 1) engine sql)
       in
       Engine.Parallel.set_default_jobs 4;
+      let trow4 =
+        time_runs ~name:(name ^ "/rowexec4") (fun () ->
+            Engine.Database.query ~config:(config_row 4) engine sql)
+      in
       let t4 =
         time_runs ~name:(name ^ "/jobs4") (fun () ->
             Engine.Database.query ~config:(config 4) engine sql)
@@ -831,8 +837,8 @@ let report_parallel () =
       record (name ^ "/colgain") (Telemetry.Timing.singleton (colgain /. 1000.0));
       let sr, s1, s4 = !totals in
       totals := (sr +. trow, s1 +. t1, s4 +. t4);
-      Printf.printf "%-16s %10.2fms %10.2fms %10.2fms %8.2fx %8.2fx\n" name
-        (ms trow) (ms t1) (ms t4) speedup colgain)
+      Printf.printf "%-16s %10.2fms %10.2fms %10.2fms %10.2fms %8.2fx %8.2fx\n"
+        name (ms trow) (ms trow4) (ms t1) (ms t4) speedup colgain)
     suite;
   let sr, s1, s4 = !totals in
   let speedup = if s4 > 0.0 then s1 /. s4 else 1.0 in

@@ -82,8 +82,8 @@ let stop_locked t =
     raise (Exceeded { produced = t.produced; elapsed = elapsed t; limits = t.limits })
   | Truncate -> t.stopped <- true
 
-(* Stop because of cancellation — either the token tripped (watchdog,
-   caller) or the wall-clock limit was crossed.  Unlike a row-budget
+(* Stop because of cancellation — either the token tripped (deadline
+   timer, caller) or the wall-clock limit was crossed.  Unlike a row-budget
    stop this is surfaced as [Cancel.Cancelled], and the token (when
    present) is tripped so parallel partitions observe it too.  Must be
    called with [t.lock] held. *)
@@ -118,6 +118,11 @@ let check_time t =
         match token_reason t with
         | Some reason -> stop_cancel_locked t reason
         | None -> if over_time t then stop_cancel_locked t (time_reason t))
+
+let mark_cancelled t =
+  with_lock t (fun () ->
+      t.was_cancelled <- true;
+      t.stopped <- true)
 
 let admit t n =
   with_lock t @@ fun () ->

@@ -22,8 +22,9 @@
     Crossing the {e time} limit — or an external trip of the attached
     {!Cancel.token} — is a {e cancellation}, not a truncation: in
     [Raise] mode it surfaces as {!Cancel.Cancelled}, and in [Truncate]
-    mode the partial result is flagged as cancelled
-    (consult {!cancelled}).  {!Exceeded} is reserved for the row
+    mode the operator where it lands drops its remaining work and the
+    (empty) partial result is flagged as cancelled (consult
+    {!cancelled}).  {!Exceeded} is reserved for the row
     budget.
 
     A budget is domain-safe: its accounting is mutex-guarded, so
@@ -55,9 +56,9 @@ type t
 
 val create : ?mode:mode -> ?cancel:Cancel.token -> limits -> t
 (** A fresh budget; the clock starts now.  When [cancel] is given,
-    every charge also polls the token, so tripping it (e.g. from the
-    {!Cancel.with_deadline} watchdog) stops the execution at the next
-    checkpoint. *)
+    every charge also polls the token, so tripping it (e.g. by the
+    deadline timer behind {!Cancel.with_deadline}) stops the execution
+    at the next checkpoint. *)
 
 val admit : t -> int -> int
 (** [admit t n] charges [n] more rows and returns how many of them the
@@ -74,6 +75,12 @@ val check_time : t -> unit
 (** Force a clock and token check (used at operator boundaries, where
     crossing the time limit should surface promptly).
     @raise Cancel.Cancelled in [Raise] mode. *)
+
+val mark_cancelled : t -> unit
+(** Record that the execution was cancelled: a region raised
+    {!Cancel.Cancelled} on the attached token.  The budget stops and
+    reports {!cancelled} (not {!truncated}), even if it had already
+    stopped on its row limit. *)
 
 val exhausted : t -> bool
 (** True once the budget stopped admitting rows ([Truncate] mode),

@@ -107,7 +107,7 @@ let effective_chunked (config : Planner.config option) =
   match config with Some c -> c.chunked | None -> true
 
 (* The budget declared by the planner config, if any; a time-limited
-   budget gets a cancellation token so the wall-clock watchdog can
+   budget gets a cancellation token so the deadline timer can
    interrupt parallel regions mid-operator.  An externally supplied
    token (the server's per-request token, tripped on client
    disconnect) is attached to the budget whatever the limits — and
@@ -130,10 +130,10 @@ let budget_of_config ?cancel mode (config : Planner.config option) =
     in
     Some (Budget.create ~mode ?cancel limits)
 
-(* run [f] under the wall-clock watchdog when the budget carries a
-   time limit: the watchdog trips the budget's token at the deadline,
-   so execution stops at the next checkpoint (budget charge, operator
-   boundary, or parallel chunk claim) rather than only when a row
+(* run [f] with its deadline armed on the deadline timer when the
+   budget carries a time limit: the timer trips the budget's token at
+   the deadline, so execution stops at the next checkpoint (budget
+   charge, operator boundary, or chunk) rather than only when a row
    charge happens to consult the clock *)
 let guarded budget f =
   match budget with

@@ -50,10 +50,10 @@ val query_ast : ?config:Planner.config -> t -> Sql.Ast.query -> Dirty.Relation.t
 val query : ?config:Planner.config -> t -> string -> Dirty.Relation.t
 (** Parse, plan and execute SQL text.  When the config declares an
     execution budget, exceeding [max_rows] raises {!Budget.Exceeded}
-    and exceeding [max_elapsed] raises {!Cancel.Cancelled} — a
-    wall-clock watchdog trips the budget's cancellation token, so even
-    a query stuck inside a parallel operator is interrupted at its
-    next checkpoint.  The config's [jobs] field selects
+    and exceeding [max_elapsed] raises {!Cancel.Cancelled} — the
+    process-wide deadline timer ({!Cancel.with_deadline}) trips the
+    budget's cancellation token, so even a query stuck inside a
+    parallel operator is interrupted at its next checkpoint.  The config's [jobs] field selects
     partition-parallel execution; with no config the process-wide
     default ([--jobs] / [CONQUER_JOBS]) applies.
     @raise Sql.Parser.Error, Planner.Plan_error, Exec.Exec_error,

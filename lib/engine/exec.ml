@@ -78,25 +78,42 @@ let per_row_charged (plan : Plan.t) =
   | Scan _ | Filter _ | Project _ | Aggregate _ | Sort _ | Distinct _ | Limit _ ->
     false
 
-(* Result of a per-row-charged emit loop.  A cancelled execution's
-   partial rows are discarded at every node boundary above anyway, so
-   don't pay to reverse and materialize a possibly huge accumulator —
-   this is part of what keeps cancellation latency bounded. *)
+(* poll a region's cancellation token from inside a loop *)
+let poll cancel = match cancel with Some tok -> Cancel.check tok | None -> ()
+
+(* Result of a per-row-charged emit loop, whose accumulator holds the
+   rows newest first.  A cancelled execution's partial rows are
+   discarded at every node boundary above anyway, so they are not
+   materialized at all.  Otherwise they are copied into the result
+   back to front, polling the token every morsel, so a trip while a
+   large result is being built still unwinds promptly. *)
 let emit_result budget out_schema out =
   match budget with
   | Some b when Budget.cancelled b -> Relation.create out_schema []
-  | _ -> Relation.create out_schema (List.rev !out)
+  | _ ->
+    let cancel = Option.bind budget Budget.cancel_token in
+    let morsel = max 1 !Parallel.min_rows_per_chunk in
+    let n = List.length !out in
+    let rows = Array.make n [||] in
+    List.iteri
+      (fun i row ->
+        if i mod morsel = 0 then poll cancel;
+        rows.(n - 1 - i) <- row)
+      !out;
+    Relation.of_array out_schema rows
 
-let infer_column_ty rows j =
-  let rec go = function
-    | [] -> Value.TString
-    | row :: rest -> (
-      match Value.type_of row.(j) with Some ty -> ty | None -> go rest)
-  in
-  go rows
+(* each column's type is its first non-null cell's, TString when there
+   is none *)
+let infer_seq_schema names (rows : Relation.row Seq.t) =
+  Schema.make
+    (List.mapi
+       (fun j name ->
+         ( name,
+           Option.value ~default:Value.TString
+             (Seq.find_map (fun row -> Value.type_of row.(j)) rows) ))
+       names)
 
-let infer_schema names rows =
-  Schema.make (List.mapi (fun j name -> (name, infer_column_ty rows j)) names)
+let infer_schema names rows = infer_seq_schema names (List.to_seq rows)
 
 let compile schema e =
   try Expr.compile schema e with
@@ -292,20 +309,26 @@ module Ktbl = Hashtbl.Make (Key)
 
 (* ---- partition-parallel helpers ----
 
-   Operators with enough rows split their input into contiguous
-   chunks, evaluate the chunks on the domain pool, and concatenate the
-   per-chunk results in chunk order — so the output row order (and
-   hence every downstream result) is bit-identical to a serial run.
+   Row operators split their input into contiguous chunks, evaluate
+   the chunks (on the domain pool when the input is large enough), and
+   concatenate the per-chunk results in chunk order — so the output
+   row order (and hence every downstream result) is bit-identical to a
+   serial run.
    Small inputs stay serial: below [Parallel.min_rows_per_chunk] per
    requested job the handoff costs more than it saves. *)
 
 let use_parallel ~jobs n = jobs > 1 && n >= jobs * !Parallel.min_rows_per_chunk
 
-(* split [0..n-1] into contiguous ranges, a few per job so chunk
-   stealing evens out skew; returns [(offset, length)] pairs *)
+(* split [0..n-1] into contiguous ranges; returns [(offset, length)]
+   pairs.  A parallel region ([jobs > 1]) gets a few per job, so chunk
+   stealing evens out skew; a serial one gets morsels of at most
+   [min_rows_per_chunk] rows, so its region polls the cancellation
+   token between them. *)
 let chunk_ranges ~jobs n =
-  let max_chunks = max 1 (n / max 1 !Parallel.min_rows_per_chunk) in
-  let chunks = max 1 (min (jobs * 4) max_chunks) in
+  let m = max 1 !Parallel.min_rows_per_chunk in
+  let chunks =
+    if jobs > 1 then max 1 (min (jobs * 4) (n / m)) else max 1 ((n + m - 1) / m)
+  in
   let base = n / chunks and extra = n mod chunks in
   Array.init chunks (fun i ->
       let lo = (i * base) + min i extra in
@@ -315,49 +338,43 @@ let chunk_ranges ~jobs n =
 (* positive partition id for a group/join key *)
 let key_pid ~nparts key = Key.hash key land max_int mod nparts
 
-(* cancellation token forwarded to parallel regions: only in [Raise]
-   budget mode, where aborting a region with [Cancel.Cancelled] is the
-   desired outcome.  Truncate-mode executions must return partial
-   rows, so their regions run to completion and the stop is observed
-   at the next node boundary instead. *)
-let region_cancel budget =
-  match budget with
-  | Some b when Budget.mode b = Budget.Raise -> Budget.cancel_token b
-  | _ -> None
+(* The cancellation token every region polls once per chunk (or
+   morsel).  A tripped region drops its remaining chunks and raises
+   [Cancel.Cancelled]: Raise-mode executions let it propagate, while
+   Truncate-mode nodes turn it into their empty cancelled partial (see
+   [eval_cancellable]). *)
+let region_cancel budget = Option.bind budget Budget.cancel_token
 
-(* chunked parallel filter; preserves row order exactly *)
+(* chunked filter, serial below the parallel threshold; preserves row
+   order exactly *)
 let run_filter ?cancel ~jobs pred rel =
   let rows = Relation.rows rel in
   let n = Array.length rows in
-  if not (use_parallel ~jobs n) then Relation.filter pred rel
-  else begin
-    let ranges = chunk_ranges ~jobs n in
-    let parts =
-      Parallel.init ?cancel ~jobs (Array.length ranges) (fun ci ->
-          let lo, len = ranges.(ci) in
-          let acc = ref [] in
-          for i = lo + len - 1 downto lo do
-            if pred rows.(i) then acc := rows.(i) :: !acc
-          done;
-          !acc)
-    in
-    Relation.create (Relation.schema rel) (List.concat (Array.to_list parts))
-  end
+  let jobs = if use_parallel ~jobs n then jobs else 1 in
+  let ranges = chunk_ranges ~jobs n in
+  let parts =
+    Parallel.init ?cancel ~jobs (Array.length ranges) (fun ci ->
+        let lo, len = ranges.(ci) in
+        let acc = ref [] in
+        for i = lo + len - 1 downto lo do
+          if pred rows.(i) then acc := rows.(i) :: !acc
+        done;
+        Array.of_list !acc)
+  in
+  Relation.of_array (Relation.schema rel) (Array.concat (Array.to_list parts))
 
-(* chunked parallel row mapping (Project); order-preserving *)
+(* chunked row mapping (Project); order-preserving *)
 let run_map_rows ?cancel ~jobs f rel =
   let rows = Relation.rows rel in
   let n = Array.length rows in
-  if not (use_parallel ~jobs n) then List.map f (Array.to_list rows)
-  else begin
-    let ranges = chunk_ranges ~jobs n in
-    let parts =
-      Parallel.init ?cancel ~jobs (Array.length ranges) (fun ci ->
-          let lo, len = ranges.(ci) in
-          List.init len (fun i -> f rows.(lo + i)))
-    in
-    List.concat (Array.to_list parts)
-  end
+  let jobs = if use_parallel ~jobs n then jobs else 1 in
+  let ranges = chunk_ranges ~jobs n in
+  let parts =
+    Parallel.init ?cancel ~jobs (Array.length ranges) (fun ci ->
+        let lo, len = ranges.(ci) in
+        Array.init len (fun i -> f rows.(lo + i)))
+  in
+  Array.concat (Array.to_list parts)
 
 (* an aggregate argument: count-star or a compiled expression *)
 type agg_arg = Star_arg | Expr_arg of (Relation.row -> Value.t)
@@ -392,6 +409,7 @@ let run_aggregate ?cancel ~jobs input ~group_by ~items ~having =
       feed_arg states.(i) (snd agg_specs.(i)) row
     done
   in
+  let morsel = max 1 !Parallel.min_rows_per_chunk in
   (* Parallel grouping partitions GROUPS (by key hash), not rows: a
      partition owns every row of its groups and feeds them in original
      row order, so per-group accumulation (including float order) is
@@ -418,6 +436,7 @@ let run_aggregate ?cancel ~jobs input ~group_by ~items ~having =
             (* (first-occurrence row index, key, states), reversed *)
             let entries = ref [] in
             for i = 0 to n - 1 do
+              if i mod morsel = 0 then poll cancel;
               if pids.(i) = p then begin
                 let states =
                   match Ktbl.find_opt groups keys.(i) with
@@ -445,8 +464,9 @@ let run_aggregate ?cancel ~jobs input ~group_by ~items ~having =
     else begin
       let groups = Ktbl.create 256 in
       let order = ref [] in
-      Array.iter
-        (fun row ->
+      Array.iteri
+        (fun i row ->
+          if i mod morsel = 0 then poll cancel;
           let key = Array.init num_keys (fun i -> key_fns.(i) row) in
           let states =
             match Ktbl.find_opt groups key with
@@ -1544,10 +1564,10 @@ let chunked_hash_join ?cancel ~jobs lct rct ~left_keys ~right_keys =
   let rchunk = Chunk.concat ~arity:(Schema.arity rs) rct.c_chunks in
   let nr = rchunk.Chunk.length in
   let rkeys = Array.make nr None in
+  let cap = max 1 !Chunk.default_rows in
   if nr > 0 then begin
     let rrows = lazy (Chunk.rows_of rchunk) in
     let kcols = Array.map (fun ce -> chunk_eval_col ce rchunk rrows) rkc in
-    let cap = max 1 !Chunk.default_rows in
     Parallel.run ?cancel ~jobs ((nr + cap - 1) / cap) (fun si ->
         let lo = si * cap in
         let hi = min nr (lo + cap) - 1 in
@@ -1561,6 +1581,7 @@ let chunked_hash_join ?cancel ~jobs lct rct ~left_keys ~right_keys =
     Parallel.init ?cancel ~jobs nparts (fun p ->
         let tbl : int list ref Ktbl.t = Ktbl.create (max 16 (nr / nparts)) in
         for i = 0 to nr - 1 do
+          if i mod cap = 0 then poll cancel;
           match rkeys.(i) with
           | Some key when key_pid ~nparts key = p -> (
             match Ktbl.find_opt tbl key with
@@ -1706,6 +1727,7 @@ let chunked_aggregate ?cancel ~jobs ct ~group_by ~items ~having =
             (* (first-occurrence row index, key, states), reversed *)
             let entries = ref [] in
             for ci = 0 to nchunks - 1 do
+              poll cancel;
               let _, acols = evaled.(ci) in
               let base = offsets.(ci) in
               for i = 0 to chunks.(ci).Chunk.length - 1 do
@@ -1739,6 +1761,7 @@ let chunked_aggregate ?cancel ~jobs ct ~group_by ~items ~having =
       let groups = Ktbl.create 256 in
       let order = ref [] in
       for ci = 0 to nchunks - 1 do
+        poll cancel;
         let _, acols = evaled.(ci) in
         let base = offsets.(ci) in
         for i = 0 to chunks.(ci).Chunk.length - 1 do
@@ -1802,10 +1825,34 @@ let can_fuse ctx =
   && Option.is_none ctx.spill
   && not (Telemetry.Control.enabled ())
 
+let base_relation ctx table =
+  try ctx.catalog.relation table
+  with Not_found -> exec_errorf "unknown table %s" table
+
+(* The schema [eval] gives [plan]'s output, for the empty partial of a
+   cancelled node.  Computed columns are typed [TString], as in any
+   empty result's inferred schema. *)
+let rec output_schema ctx (plan : Plan.t) =
+  match plan with
+  | Scan { table; alias } ->
+    Schema.rename ~prefix:alias (Relation.schema (base_relation ctx table))
+  | Filter { input; _ } | Sort { input; _ } | Distinct input | Limit (input, _) ->
+    output_schema ctx input
+  | Project { items; _ } | Aggregate { items; _ } ->
+    infer_schema (List.map snd items) []
+  | Hash_join { left; right; _ } | Left_outer_join { left; right; _ }
+  | Cross (left, right) ->
+    Schema.append (output_schema ctx left) (output_schema ctx right)
+  | Index_join { left; table; alias; _ } ->
+    Schema.append (output_schema ctx left)
+      (Schema.rename ~prefix:alias (Relation.schema (base_relation ctx table)))
+
 let rec run_hooked ctx (plan : Plan.t) : Relation.t =
   (* bail out of deep plans promptly when the clock has run out *)
   (match ctx.budget with None -> () | Some b -> Budget.check_time b);
-  let eval_node () = ctx.hook plan (fun () -> eval ctx (resolve_node ctx plan)) in
+  let eval_node () =
+    ctx.hook plan (fun () -> eval_cancellable ctx (resolve_node ctx plan))
+  in
   let rel =
     if not (Telemetry.Control.enabled ()) then eval_node ()
     else
@@ -1936,6 +1983,20 @@ and resolve_node ctx (plan : Plan.t) : Plan.t =
   | Sort { input; keys } ->
     Sort { input; keys = List.map (fun (e, d) -> (r e, d)) keys }
 
+(* A Truncate-mode node whose region was cancelled drops the rest of
+   its work and yields the empty cancelled partial, like the per-row
+   loops' [emit_result]; the budget records the cancellation (even
+   when it had already stopped on its row limit), so every node above
+   admits nothing either and the result is reported as cancelled. *)
+and eval_cancellable ctx plan =
+  match ctx.budget with
+  | Some b when Budget.mode b = Budget.Truncate -> (
+    try eval ctx plan
+    with Cancel.Cancelled _ ->
+      Budget.mark_cancelled b;
+      Relation.create (output_schema ctx plan) [])
+  | _ -> eval ctx plan
+
 (* the columnar input of a chunked operator: a fused chunk-friendly
    subtree evaluates column-to-column; anything else goes through the
    row interpreter (keeping per-node hooks, spans, and budget
@@ -1950,10 +2011,7 @@ and eval_ctable ctx (plan : Plan.t) : ctable =
   let cancel = region_cancel ctx.budget in
   match resolve_node ctx plan with
   | Scan { table; alias } ->
-    let rel =
-      try ctx.catalog.relation table
-      with Not_found -> exec_errorf "unknown table %s" table
-    in
+    let rel = base_relation ctx table in
     let schema = Schema.rename ~prefix:alias (Relation.schema rel) in
     ctable_of_relation ?cancel ~jobs:ctx.jobs
       (Relation.of_array schema (Relation.rows rel))
@@ -1974,10 +2032,7 @@ and eval ctx (plan : Plan.t) : Relation.t =
   let budget = ctx.budget and jobs = ctx.jobs in
   match plan with
   | Scan { table; alias } ->
-    let rel =
-      try ctx.catalog.relation table
-      with Not_found -> exec_errorf "unknown table %s" table
-    in
+    let rel = base_relation ctx table in
     let schema = Schema.rename ~prefix:alias (Relation.schema rel) in
     Relation.of_array schema (Relation.rows rel)
   | Filter { input; pred } ->
@@ -2000,7 +2055,9 @@ and eval ctx (plan : Plan.t) : Relation.t =
           (fun row -> Array.of_list (List.map (fun f -> f row) fns))
           rel
       in
-      Relation.create (infer_schema (List.map snd items) rows) rows
+      Relation.of_array
+        (infer_seq_schema (List.map snd items) (Array.to_seq rows))
+        rows
     end
   | Hash_join { left; right; left_keys; right_keys } -> (
     (* with a budget the join stays on the serial row path: rows are
@@ -2026,10 +2083,7 @@ and eval ctx (plan : Plan.t) : Relation.t =
   | Left_outer_join { left; right; on } ->
     run_left_outer_join ?budget (run_child ctx left) (run_child ctx right) ~on
   | Index_join { left; table; alias; left_keys; right_attrs } -> (
-    let base =
-      try ctx.catalog.relation table
-      with Not_found -> exec_errorf "unknown table %s" table
-    in
+    let base = base_relation ctx table in
     match right_attrs with
     | [] -> exec_errorf "index join with no key attributes"
     | first_attr :: other_attrs -> (

@@ -36,8 +36,11 @@ val warm : int -> unit
 val min_rows_per_chunk : int ref
 (** Parallel operators fall back to serial execution when the input
     has fewer than about [jobs * !min_rows_per_chunk] rows — below
-    that, domain handoff costs more than it saves.  Exposed (default
-    512) so tests can force the parallel paths on small relations. *)
+    that, domain handoff costs more than it saves.  It is also the
+    morsel size in which serial row operators walk their input,
+    polling the cancellation token between morsels.  Exposed
+    (default 512) so tests can force the parallel paths on small
+    relations. *)
 
 val run : ?cancel:Cancel.token -> jobs:int -> int -> (int -> unit) -> unit
 (** [run ~jobs n task] evaluates [task i] for every [0 <= i < n],
@@ -50,8 +53,9 @@ val run : ?cancel:Cancel.token -> jobs:int -> int -> (int -> unit) -> unit
 
     When [cancel] is given, the token is polled before each task: once
     it trips, unstarted tasks are skipped and {!Cancel.Cancelled} is
-    raised after the region drains.  Only pass a token when raising is
-    acceptable (the executor does so in [Raise] budget mode only). *)
+    raised after the region drains.  (The executor passes its budget's
+    token in both budget modes; a [Truncate]-mode node catches the
+    exception and yields an empty cancelled partial.) *)
 
 val init : ?cancel:Cancel.token -> jobs:int -> int -> (int -> 'a) -> 'a array
 (** [init ~jobs n f] is [Array.init n f] with the calls distributed

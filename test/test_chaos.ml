@@ -589,9 +589,9 @@ let prop_retry_no_jitter_is_deterministic =
 
 (* ---- cancellation deadlines ---- *)
 
-(* a deadline that has already passed (zero, negative, or at/below the
-   2ms watchdog tick) must trip the token before the wrapped function
-   runs — not one watchdog tick later *)
+(* a deadline that has already passed (zero, negative, or at/below
+   2ms) must trip the token before the wrapped function runs — not
+   when the deadline timer next wakes *)
 let test_expired_deadline_trips_before_run () =
   List.iter
     (fun seconds ->
@@ -702,6 +702,207 @@ let test_query_cancelled_raise_within_deadline () =
     true
     (elapsed < 2.0 *. deadline)
 
+(* Bounded cancellation on the serve soak's heavy query: a ~1.3M-row
+   cross product of a 48-row table thrice and a 12-row one, filtered
+   on all four.  Whichever operator the deadline lands in — the
+   per-row cross loop, building its result, a chunked or row-path
+   filter or projection at either jobs count — the query must unwind
+   within 100ms of its deadline, in both budget modes.  (A run may
+   also finish uncancelled before the deadline; the bound still
+   holds.) *)
+let slow_sql =
+  "select a.val from alpha a, alpha b, alpha c, beta d where a.val + b.val + \
+   c.val + d.val > -1"
+
+let slow_sql_db () =
+  let engine = Engine.Database.create () in
+  let cluster i = (Printf.sprintf "c%d" i, [ (i, 10); (i + 1, 6) ]) in
+  List.iter
+    (fun (name, clusters) ->
+      let t = table_of_clusters name (List.init clusters cluster) in
+      Engine.Database.add_relation engine ~name t.Dirty_db.relation)
+    [ ("alpha", 24); ("beta", 6) ];
+  engine
+
+let test_slow_sql_unwinds_within_bound () =
+  let engine = slow_sql_db () in
+  let q = Sql.Parser.parse_query slow_sql in
+  List.iter
+    (fun (deadline, jobs, chunked, raise_mode) ->
+      let config =
+        {
+          Engine.Planner.default_config with
+          jobs;
+          chunked;
+          max_elapsed = Some deadline;
+        }
+      in
+      let t0 = Unix.gettimeofday () in
+      (if raise_mode then
+         match Engine.Database.query_ast ~config engine q with
+         | _ | (exception Engine.Cancel.Cancelled _) -> ()
+       else ignore (Engine.Database.query_ast_within ~config engine q));
+      let elapsed = Unix.gettimeofday () -. t0 in
+      Alcotest.(check bool)
+        (Printf.sprintf "deadline %gs jobs=%d chunked=%b %s: %.0fms" deadline
+           jobs chunked
+           (if raise_mode then "raise" else "truncate")
+           (elapsed *. 1000.))
+        true
+        (elapsed <= deadline +. 0.1))
+    (List.concat_map
+       (fun deadline ->
+         List.concat_map
+           (fun jobs ->
+             List.concat_map
+               (fun chunked ->
+                 List.map
+                   (fun raise_mode -> (deadline, jobs, chunked, raise_mode))
+                   [ false; true ])
+               [ true; false ])
+           [ 1; 2 ])
+       [ 0.3; 1.0 ])
+
+(* Deadlines share one timer domain, so far more regions than the
+   runtime's 128-domain limit can be armed at once.  Every token must
+   trip for its own deadline (the reason names it), never before it,
+   and promptly after it.  Deadlines are armed out of order, so some
+   arms must wake the timer for an earlier deadline. *)
+let test_deadline_regions_beyond_domain_limit () =
+  let n = 200 in
+  let seconds i = 0.05 +. (0.001 *. float_of_int (i * 37 mod n)) in
+  let toks = Array.init n (fun _ -> Engine.Cancel.create ()) in
+  let seen = Array.make n infinity in
+  let t0 = Unix.gettimeofday () in
+  let rec nest i =
+    if i < n then
+      Engine.Cancel.with_deadline ~seconds:(seconds i) toks.(i) (fun () ->
+          nest (i + 1))
+    else
+      let give_up = t0 +. 5.0 in
+      while
+        Array.exists (fun s -> s = infinity) seen
+        && Unix.gettimeofday () < give_up
+      do
+        Unix.sleepf 0.0005;
+        let now = Unix.gettimeofday () -. t0 in
+        Array.iteri
+          (fun j tok ->
+            if seen.(j) = infinity && Engine.Cancel.cancelled tok then
+              seen.(j) <- now)
+          toks
+      done
+  in
+  nest 0;
+  Array.iteri
+    (fun i tok ->
+      let d = seconds i in
+      Alcotest.(check (option string))
+        (Printf.sprintf "region %d tripped by its own deadline" i)
+        (Some (Printf.sprintf "time budget of %gs exceeded" d))
+        (Engine.Cancel.reason tok);
+      Alcotest.(check bool)
+        (Printf.sprintf "region %d: deadline %.0fms, seen at %.0fms" i
+           (d *. 1000.) (seen.(i) *. 1000.))
+        true
+        (seen.(i) >= d && seen.(i) <= d +. 0.1))
+    toks
+
+(* the timer domain exits once it has idled with no deadline armed;
+   the next arm must start a fresh one that still trips on time *)
+let test_deadline_after_timer_idles_out () =
+  let arm_and_wait seconds =
+    let tok = Engine.Cancel.create () in
+    let t0 = Unix.gettimeofday () in
+    let running =
+      Engine.Cancel.with_deadline ~seconds tok (fun () ->
+          let running = Engine.Cancel.timer_running () in
+          while
+            (not (Engine.Cancel.cancelled tok))
+            && Unix.gettimeofday () -. t0 < 5.0
+          do
+            Unix.sleepf 0.001
+          done;
+          running)
+    in
+    (running, Engine.Cancel.cancelled tok, Unix.gettimeofday () -. t0)
+  in
+  ignore (arm_and_wait 0.01);
+  (* it idles out a tenth of a second after its last arm *)
+  let give_up = Unix.gettimeofday () +. 2.0 in
+  while Engine.Cancel.timer_running () && Unix.gettimeofday () < give_up do
+    Unix.sleepf 0.01
+  done;
+  Alcotest.(check bool) "timer domain idled out" false
+    (Engine.Cancel.timer_running ());
+  let running, tripped, elapsed = arm_and_wait 0.05 in
+  Alcotest.(check bool) "the next arm restarted it" true running;
+  Alcotest.(check bool) "tripped after the idle exit" true tripped;
+  Alcotest.(check bool)
+    (Printf.sprintf "on time (%.0fms for a 50ms deadline)" (elapsed *. 1000.))
+    true
+    (elapsed >= 0.05 && elapsed <= 0.15)
+
+(* A deadline that expires after the row limit has already stopped a
+   Truncate-mode budget is still reported as a cancellation, never as
+   an (empty) row truncation.  The inner cross product runs into the
+   row limit; the deadline then expires while the outer operand is
+   fetched (the catalog waits for the trip), so the filter over that
+   operand observes it at its first chunk. *)
+let test_deadline_after_row_truncation () =
+  let relation name clusters =
+    (table_of_clusters name
+       (List.init clusters (fun i ->
+            (Printf.sprintf "c%d" i, [ (i, 10); (i + 1, 6) ]))))
+      .Dirty_db.relation
+  in
+  let alpha = relation "alpha" 24 and beta = relation "beta" 6 in
+  let tok = Engine.Cancel.create () in
+  let budget =
+    Engine.Budget.create ~mode:Engine.Budget.Truncate ~cancel:tok
+      { max_rows = Some 1000; max_elapsed = None }
+  in
+  let exhausted_at_fetch = ref false in
+  let catalog =
+    {
+      Engine.Exec.relation =
+        (function
+        | "alpha" -> alpha
+        | "beta" ->
+          exhausted_at_fetch := Engine.Budget.exhausted budget;
+          let t0 = Unix.gettimeofday () in
+          while
+            (not (Engine.Cancel.cancelled tok))
+            && Unix.gettimeofday () -. t0 < 5.0
+          do
+            Unix.sleepf 0.001
+          done;
+          beta
+        | _ -> raise Not_found);
+      index = (fun _ _ -> None);
+    }
+  in
+  let scan table alias = Engine.Plan.Scan { table; alias } in
+  let plan =
+    Engine.Plan.Cross
+      ( Engine.Plan.Cross (scan "alpha" "a", scan "alpha" "b"),
+        Engine.Plan.Filter
+          {
+            input = scan "beta" "d";
+            pred = Sql.Parser.parse_expr "d.val > -1";
+          } )
+  in
+  let rel =
+    Engine.Cancel.with_deadline ~seconds:0.05 tok (fun () ->
+        Engine.Exec.run ~budget ~jobs:1 ~chunked:false catalog plan)
+  in
+  Alcotest.(check bool) "row limit hit before the deadline" true
+    !exhausted_at_fetch;
+  Alcotest.(check bool) "reported cancelled" true (Engine.Budget.cancelled budget);
+  Alcotest.(check bool) "not reported truncated" false
+    (Engine.Budget.truncated budget);
+  Alcotest.(check int) "empty cancelled partial" 0 (Relation.cardinality rel)
+
 let test_cancellation_counter () =
   Telemetry.Control.with_enabled @@ fun () ->
   let before =
@@ -774,5 +975,13 @@ let () =
             `Quick test_query_cancelled_raise_within_deadline;
           Alcotest.test_case "cancellations counter and first-reason-wins"
             `Quick test_cancellation_counter;
+          Alcotest.test_case "200 deadline regions beyond the domain limit"
+            `Quick test_deadline_regions_beyond_domain_limit;
+          Alcotest.test_case "deadline timer restarts after idling out"
+            `Quick test_deadline_after_timer_idles_out;
+          Alcotest.test_case "deadline after row truncation reports cancelled"
+            `Quick test_deadline_after_row_truncation;
+          Alcotest.test_case "slow_sql unwinds within deadline + 100ms"
+            `Slow test_slow_sql_unwinds_within_bound;
         ] );
     ]

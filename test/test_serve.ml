@@ -466,16 +466,19 @@ let test_trace_integrity_across_domains () =
               ~headers:[ ("x-trace-id", id) ]
               ~body:sql "/query"
           in
-          Alcotest.(check int) "query ok" 200 resp.Server.Http.status
+          resp.Server.Http.status
         in
+        (* statuses are checked after the join: Alcotest's checks are
+           not safe to call from several domains at once *)
         List.init n_clients (fun c ->
             Domain.spawn (fun () ->
-                List.iteri
+                List.mapi
                   (fun k id -> fire id k)
                   (List.filteri
                      (fun i _ -> i mod n_clients = c)
                      ids)))
-        |> List.iter Domain.join;
+        |> List.concat_map Domain.join
+        |> List.iter (Alcotest.(check int) "query ok" 200);
         List.iter
           (fun id ->
             let pretty =
@@ -1147,6 +1150,7 @@ let test_metrics_surface () =
     [
       "serve.requests"; "serve.shed"; "serve.cancelled"; "serve.partial";
       "serve.cache_hits"; "serve.breaker_trips"; "serve.request_seconds";
+      "engine.cancel.latency_seconds"; "engine.deadline.lag_seconds";
     ];
   Alcotest.(check bool) "requests counted" true
     (Option.value (Telemetry.Metrics.counter_value "serve.requests") ~default:0
@@ -1158,21 +1162,45 @@ let test_metrics_surface () =
     [
       "conquer_serve_requests"; "conquer_serve_shed";
       "conquer_serve_cache_hits"; "conquer_serve_breaker_trips";
-      "conquer_serve_request_seconds";
+      "conquer_serve_request_seconds"; "conquer_engine_cancel_latency_seconds";
+      "conquer_engine_deadline_lag_seconds";
     ];
   (* the latency histogram is live: quantiles are ordered and positive *)
-  match
-    List.find_opt
-      (fun (s : Telemetry.Metrics.sample) -> s.name = "serve.request_seconds")
-      (Telemetry.Metrics.snapshot ())
-  with
+  (match
+     List.find_opt
+       (fun (s : Telemetry.Metrics.sample) -> s.name = "serve.request_seconds")
+       (Telemetry.Metrics.snapshot ())
+   with
   | Some { data = Telemetry.Metrics.Histogram_value hs; _ } when hs.hs_total > 0
     ->
     let p50 = Telemetry.Metrics.histogram_quantile hs 0.5 in
     let p99 = Telemetry.Metrics.histogram_quantile hs 0.99 in
     Alcotest.(check bool) "p50 positive" true (p50 > 0.0);
     Alcotest.(check bool) "quantiles ordered" true (p50 <= p99)
-  | _ -> Alcotest.fail "serve.request_seconds has no observations"
+  | _ -> Alcotest.fail "serve.request_seconds has no observations");
+  (* a deadline tripped by the timer observes both histograms, whatever
+     ran before *)
+  Telemetry.Control.with_enabled (fun () ->
+      let tok = Engine.Cancel.create () in
+      let t0 = Unix.gettimeofday () in
+      Engine.Cancel.with_deadline ~seconds:0.02 tok (fun () ->
+          while
+            (not (Engine.Cancel.cancelled tok))
+            && Unix.gettimeofday () -. t0 < 5.0
+          do
+            Unix.sleepf 0.001
+          done));
+  List.iter
+    (fun name ->
+      match
+        List.find_opt
+          (fun (s : Telemetry.Metrics.sample) -> s.name = name)
+          (Telemetry.Metrics.snapshot ())
+      with
+      | Some { data = Telemetry.Metrics.Histogram_value hs; _ } ->
+        Alcotest.(check bool) (name ^ " observed") true (hs.hs_total > 0)
+      | _ -> Alcotest.failf "%s is not a histogram" name)
+    [ "engine.cancel.latency_seconds"; "engine.deadline.lag_seconds" ]
 
 (* ---- the chaos soak ---- *)
 
