@@ -77,10 +77,13 @@ let run_ast_within ?config ?cancel s q =
 
 let check s sql = Rewritable.check s.env (Sql.Parser.parse_query sql)
 
+let rewrite_query s q = Rewrite.rewrite_checked s.env q
+
 let rewrite s sql =
-  match Rewrite.rewrite_checked s.env (Sql.Parser.parse_query sql) with
-  | Ok q -> Ok (Sql.Pretty.query_to_string q)
-  | Error vs -> Error vs
+  Result.map Sql.Pretty.query_to_string
+    (rewrite_query s (Sql.Parser.parse_query sql))
+
+let plan s q = Engine.Database.plan s.engine q
 
 let answers ?config s sql =
   spanned "rewritten" @@ fun () ->
@@ -109,6 +112,17 @@ let partial_of (rows, { Engine.Database.truncated; cancelled }) =
   { rows; truncated; cancelled }
 
 let answers_ast_within ?config ?cancel s q = run_ast_within ?config ?cancel s q
+
+let answers_plan_within ?config ?cancel s q p =
+  let unsharded () =
+    Engine.Database.run_plan_within ?config ?cancel s.engine p
+  in
+  match s.shard with
+  | Some sh -> (
+    match Engine.Shard.query_ast_within ?config ?cancel sh q with
+    | Some r -> r
+    | None -> unsharded ())
+  | None -> unsharded ()
 
 let answers_within ?config ?cancel s sql =
   spanned "rewritten-within" @@ fun () ->

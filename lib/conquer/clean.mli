@@ -39,6 +39,16 @@ val check : session -> string -> (Join_graph.t, Rewritable.violation list) resul
 val rewrite : session -> string -> (string, Rewritable.violation list) result
 (** The rewritten SQL text of a rewritable query. *)
 
+val rewrite_query :
+  session -> Sql.Ast.query -> (Sql.Ast.query, Rewritable.violation list) result
+(** {!rewrite} of an already parsed query, returning the rewritten
+    AST — the query {!answers} executes. *)
+
+val plan : session -> Sql.Ast.query -> Engine.Plan.t
+(** The engine plan of a query (typically a rewritten one) on the
+    session's unsharded catalog, as {!answers_ast_within} would plan it
+    under a config with default planner options. *)
+
 val answers : ?config:Engine.Planner.config -> session -> string -> Dirty.Relation.t
 (** Clean answers via RewriteClean executed on the engine.
 
@@ -92,8 +102,20 @@ val answers_ast_within :
 (** Budgeted execution of an already-rewritten (prepared) query AST
     through the session's execution path — sharded scatter/gather when
     the session is sharded and the query is shardable, the plain
-    engine otherwise.  The daemon's prepared-statement cache uses
-    this. *)
+    engine otherwise. *)
+
+val answers_plan_within :
+  ?config:Engine.Planner.config ->
+  ?cancel:Engine.Cancel.token ->
+  session ->
+  Sql.Ast.query ->
+  Engine.Plan.t ->
+  Dirty.Relation.t * Engine.Database.stop
+(** {!answers_ast_within} of a query already planned: [p] must be
+    [plan s q].  An unsharded session (or a query outside the
+    shardable class) executes [p] without planning again; a sharded
+    session scatters [q] as {!answers_ast_within} does.  The daemon
+    plans a query once per prepared-cache entry and uses this. *)
 
 val top_answers_within :
   ?config:Engine.Planner.config ->

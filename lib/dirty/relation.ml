@@ -69,16 +69,17 @@ end
 
 module Row_tbl = Hashtbl.Make (Row_key)
 
-let distinct t =
+let distinct ?(poll = ignore) t =
   let seen = Row_tbl.create (cardinality t) in
   let keep = ref [] in
-  iter
-    (fun row ->
+  Array.iteri
+    (fun i row ->
+      poll i;
       if not (Row_tbl.mem seen row) then begin
         Row_tbl.add seen row ();
         keep := row :: !keep
       end)
-    t;
+    t.rows;
   { t with rows = Array.of_list (List.rev !keep) }
 
 let append a b =

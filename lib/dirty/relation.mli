@@ -39,9 +39,10 @@ val value : t -> row -> string -> Value.t
 
 val project : t -> string list -> t
 val sort_by : (row -> row -> int) -> t -> t
-val distinct : t -> t
+val distinct : ?poll:(int -> unit) -> t -> t
 (** Set-semantics copy: removes duplicate rows (first occurrence order
-    preserved). *)
+    preserved).  [poll i] runs before row [i] is examined; an
+    exception it raises abandons the operation. *)
 
 val append : t -> t -> t
 (** Bag union of two relations over the same schema.

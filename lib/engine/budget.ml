@@ -26,8 +26,8 @@ let () =
       Some (exceeded_message ~produced ~elapsed limits)
     | _ -> None)
 
-(* rows admitted between wall-clock reads; gettimeofday costs ~20ns so
-   this keeps the per-row overhead well under a nanosecond amortized *)
+(* rows admitted between clock reads; a read costs ~20ns so this keeps
+   the per-row overhead well under a nanosecond amortized *)
 let time_check_interval = 256
 
 (* The mutable accounting fields are guarded by [lock]: a budget can be
@@ -52,7 +52,7 @@ let create ?(mode = Raise) ?cancel limits =
   {
     limits;
     mode;
-    started = Unix.gettimeofday ();
+    started = Cancel.now ();
     cancel;
     lock = Mutex.create ();
     produced = 0;
@@ -65,7 +65,7 @@ let with_lock t f =
   Mutex.lock t.lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
 
-let elapsed t = Unix.gettimeofday () -. t.started
+let elapsed t = Cancel.now () -. t.started
 let produced t = with_lock t (fun () -> t.produced)
 let exhausted t = with_lock t (fun () -> t.stopped)
 let truncated t = with_lock t (fun () -> t.stopped && not t.was_cancelled)
@@ -124,7 +124,9 @@ let mark_cancelled t =
       t.was_cancelled <- true;
       t.stopped <- true)
 
-let admit t n =
+(* [overflow allowed n] is what a charge of [n] rows adds to [produced]
+   when the row limit admits only [allowed] of them *)
+let charge ~overflow t n =
   with_lock t @@ fun () ->
   if t.stopped then 0
   else begin
@@ -149,9 +151,15 @@ let admit t n =
         end
         else begin
           let allowed = max 0 (lim - t.produced) in
-          t.produced <- t.produced + n;
+          t.produced <- t.produced + overflow allowed n;
           stop_locked t;
           (* only reached in Truncate mode *)
           allowed
         end
   end
+
+let admit = charge ~overflow:(fun _ n -> n)
+
+(* rows past the first rejected one are never produced by a per-row
+   emit loop *)
+let admit_rows = charge ~overflow:(fun allowed _ -> allowed + 1)

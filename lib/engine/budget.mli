@@ -29,9 +29,12 @@
 
     A budget is domain-safe: its accounting is mutex-guarded, so
     charges from parallel operator partitions are serialized and the
-    admitted total never exceeds the limit.  (The executor additionally
-    runs per-row-charged operators serially when a budget is in force,
-    keeping [Truncate] prefixes identical to a serial run.) *)
+    admitted total never exceeds the limit.  (The executor charges in
+    chunk order whatever the jobs count — a node's output at its
+    boundary, a join's output one left chunk at a time — so [Truncate]
+    prefixes are identical to a serial run.)
+
+    The clock is monotonic ({!Cancel.now}). *)
 
 type limits = {
   max_rows : int option;  (** total rows produced across all operators *)
@@ -70,6 +73,14 @@ val admit : t -> int -> int
     @raise Exceeded in [Raise] mode when the row limit is crossed.
     @raise Cancel.Cancelled in [Raise] mode on time-limit crossing or
     token trip. *)
+
+val admit_rows : t -> int -> int
+(** [admit_rows t n] charges [n] rows of a per-row emit loop (a join)
+    at once, as [n] successive [admit t 1] calls would: it admits the
+    same rows, and when the row limit cuts the batch only the first
+    rejected row counts towards {!produced}.  A join charged one chunk
+    at a time thus reports the [produced] of one charged per row.
+    @raise Exceeded and [Cancel.Cancelled] as {!admit}. *)
 
 val check_time : t -> unit
 (** Force a clock and token check (used at operator boundaries, where

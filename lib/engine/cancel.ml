@@ -13,7 +13,9 @@
    the trip also sees why and when.
 
    The wall-clock deadlines behind [--budget-time] live here too, all
-   serviced by one process-wide timer (see below). *)
+   serviced by one process-wide timer (see below).  Deadlines, trip
+   times and budget clocks read the monotonic clock: a wall clock that
+   is stepped would trip a deadline early or late. *)
 
 let m_cancellations =
   Telemetry.Metrics.counter "engine.cancel.cancellations"
@@ -26,6 +28,8 @@ let h_latency =
 let h_lag =
   Telemetry.Metrics.histogram "engine.deadline.lag_seconds"
     ~help:"deadline due to token tripped by the deadline timer"
+
+let now () = Int64.to_float (Monotonic_clock.now ()) *. 1e-9
 
 type trip = { reason : string; at : float }
 type token = trip option Atomic.t
@@ -42,7 +46,7 @@ let create () = Atomic.make None
 let cancel ?(reason = "cancelled") t =
   if
     Option.is_none (Atomic.get t)
-    && Atomic.compare_and_set t None (Some { reason; at = Unix.gettimeofday () })
+    && Atomic.compare_and_set t None (Some { reason; at = now () })
   then Telemetry.Metrics.inc m_cancellations
 
 let cancelled t = Option.is_some (Atomic.get t)
@@ -102,7 +106,7 @@ let exceeded_reason seconds = Printf.sprintf "time budget of %gs exceeded" secon
 let rec timer_loop r w =
   let timeout =
     Mutex.protect timer.lock (fun () ->
-        let now = Unix.gettimeofday () in
+        let now = now () in
         let due, pending = List.partition (fun e -> e.due <= now) timer.entries in
         timer.entries <- pending;
         List.iter
@@ -132,7 +136,7 @@ let rec timer_loop r w =
     timer_loop r w
 
 let arm ~seconds tok =
-  let now = Unix.gettimeofday () in
+  let now = now () in
   let e = { due = now +. seconds; seconds; tok } in
   Mutex.protect timer.lock (fun () ->
       let w =
@@ -175,7 +179,7 @@ let expired_reason seconds =
 
 let observe_unwind t =
   match Atomic.get t with
-  | Some trip -> Telemetry.Metrics.observe h_latency (Unix.gettimeofday () -. trip.at)
+  | Some trip -> Telemetry.Metrics.observe h_latency (now () -. trip.at)
   | None -> ()
 
 let with_deadline ~seconds t f =

@@ -7,6 +7,11 @@
     atomic load; tripping is one-shot and counted by the
     [engine.cancel.cancellations] telemetry counter. *)
 
+val now : unit -> float
+(** Monotonic seconds (arbitrary origin): the clock of deadlines, trip
+    times and {!Budget} elapsed time.  Unlike [Unix.gettimeofday] it
+    is never stepped and never runs backwards. *)
+
 type token
 
 exception Cancelled of string

@@ -169,25 +169,32 @@ type stop = { truncated : bool; cancelled : bool }
 
 let no_stop = { truncated = false; cancelled = false }
 
+(* [plan] runs inside the budget's deadline region *)
+let exec_within ?config ?cancel t plan =
+  let budget = budget_of_config ?cancel Budget.Truncate config in
+  let rel =
+    guarded budget (fun () ->
+        run_plan ?budget ~jobs:(effective_jobs config)
+          ~chunked:(effective_chunked config) ?spill:(spill_of_config config) t
+          (plan ()))
+  in
+  let stop =
+    match budget with
+    | Some b ->
+      { truncated = Budget.truncated b; cancelled = Budget.cancelled b }
+    | None -> no_stop
+  in
+  Telemetry.Span.add_attr "rows" (string_of_int (Relation.cardinality rel));
+  if stop.truncated then Telemetry.Span.add_attr "truncated" "true";
+  if stop.cancelled then Telemetry.Span.add_attr "cancelled" "true";
+  (rel, stop)
+
 let query_ast_within ?config ?cancel t q =
   timed_query (fun () ->
-      let budget = budget_of_config ?cancel Budget.Truncate config in
-      let rel =
-        guarded budget (fun () ->
-            run_plan ?budget ~jobs:(effective_jobs config)
-              ~chunked:(effective_chunked config)
-              ?spill:(spill_of_config config) t (plan ?config t q))
-      in
-      let stop =
-        match budget with
-        | Some b ->
-          { truncated = Budget.truncated b; cancelled = Budget.cancelled b }
-        | None -> no_stop
-      in
-      Telemetry.Span.add_attr "rows" (string_of_int (Relation.cardinality rel));
-      if stop.truncated then Telemetry.Span.add_attr "truncated" "true";
-      if stop.cancelled then Telemetry.Span.add_attr "cancelled" "true";
-      (rel, stop))
+      exec_within ?config ?cancel t (fun () -> plan ?config t q))
+
+let run_plan_within ?config ?cancel t p =
+  timed_query (fun () -> exec_within ?config ?cancel t (fun () -> p))
 
 let query ?config t text = query_ast ?config t (Sql.Parser.parse_query text)
 

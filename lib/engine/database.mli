@@ -83,6 +83,16 @@ val query_ast_within :
     server drain) stops the execution at its next checkpoint and
     surfaces as [stop.cancelled]. *)
 
+val run_plan_within :
+  ?config:Planner.config ->
+  ?cancel:Cancel.token ->
+  t ->
+  Plan.t ->
+  Dirty.Relation.t * stop
+(** {!query_ast_within} of a query already planned with
+    [plan ?config t]: the same budget, deadline and stop flags, without
+    planning again. *)
+
 val explain : ?config:Planner.config -> t -> string -> string
 (** The plan the query would run, rendered EXPLAIN-style. *)
 

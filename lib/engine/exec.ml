@@ -70,8 +70,9 @@ let tick budget =
     Telemetry.Metrics.inc m_budget_ticks;
     if Budget.admit b 1 = 0 then raise Budget_stop
 
-(* nodes whose emit loops tick per row; everything else is charged on
-   its materialized output at the node boundary *)
+(* nodes that charge their own output as they emit it (row loops per
+   row, the chunked hash join per left chunk); everything else is
+   charged on its output at the node boundary *)
 let per_row_charged (plan : Plan.t) =
   match plan with
   | Hash_join _ | Left_outer_join _ | Cross _ | Index_join _ -> true
@@ -342,8 +343,58 @@ let key_pid ~nparts key = Key.hash key land max_int mod nparts
    morsel).  A tripped region drops its remaining chunks and raises
    [Cancel.Cancelled]: Raise-mode executions let it propagate, while
    Truncate-mode nodes turn it into their empty cancelled partial (see
-   [eval_cancellable]). *)
+   [cancellable]). *)
 let region_cancel budget = Option.bind budget Budget.cancel_token
+
+(* ---- per-node scaffolding ----
+
+   Shared by the row boundary ([run_hooked]) and fused columnar nodes
+   ([eval_ctable]), so a plan node is timed, traced and charged the
+   same way whether or not it fused. *)
+
+(* the [exec.<op>] span and operator counters around one node's
+   evaluation; [rows] counts its output *)
+let traced plan ~rows f =
+  if not (Telemetry.Control.enabled ()) then f ()
+  else
+    Telemetry.Span.with_ ~name:("exec." ^ operator_label plan) (fun () ->
+        let t0 = Unix.gettimeofday () in
+        let r = f () in
+        Telemetry.Metrics.observe h_operator_seconds (Unix.gettimeofday () -. t0);
+        let n = rows r in
+        Telemetry.Metrics.inc m_operators;
+        Telemetry.Metrics.inc ~n m_rows_out;
+        Telemetry.Span.add_attr "rows_out" (string_of_int n);
+        r)
+
+(* charge a node's output at its boundary and cut it to the admitted
+   prefix; per-row-charged nodes have charged their rows already *)
+let charge_output budget plan ~rows ~prefix r =
+  match budget with
+  | Some b when not (per_row_charged plan) ->
+    let n = rows r in
+    let allowed = Budget.admit b n in
+    if allowed >= n then r else prefix r allowed
+  | _ -> r
+
+let relation_prefix rel k =
+  Relation.of_array (Relation.schema rel) (Array.sub (Relation.rows rel) 0 k)
+
+(* [cmp] polling the token once per morsel of comparisons, so a
+   deadline landing in a large sort unwinds promptly *)
+let polling_compare cancel cmp =
+  match cancel with
+  | None -> cmp
+  | Some tok ->
+    let morsel = max 1 !Parallel.min_rows_per_chunk in
+    let count = ref 0 in
+    fun a b ->
+      incr count;
+      if !count >= morsel then begin
+        count := 0;
+        Cancel.check tok
+      end;
+      cmp a b
 
 (* chunked filter, serial below the parallel threshold; preserves row
    order exactly *)
@@ -893,6 +944,65 @@ let run_left_outer_join ?budget lrel rrel ~on =
    [!Chunk.default_rows] only, never on the jobs count. *)
 
 type ctable = { c_schema : Schema.t; c_chunks : Chunk.t array }
+
+let empty_ctable schema = { c_schema = schema; c_chunks = [||] }
+
+let ctable_rows ct =
+  Array.fold_left (fun acc (c : Chunk.t) -> acc + c.Chunk.length) 0 ct.c_chunks
+
+let chunk_prefix (ch : Chunk.t) k =
+  if k >= ch.Chunk.length then ch else Chunk.gather ch (Array.init k Fun.id)
+
+(* the first [k] rows, in chunk order *)
+let ctable_prefix ct k =
+  let left = ref k in
+  let kept =
+    List.filter_map
+      (fun (c : Chunk.t) ->
+        if !left <= 0 then None
+        else begin
+          let c' = chunk_prefix c !left in
+          left := !left - c.Chunk.length;
+          Some c'
+        end)
+      (Array.to_list ct.c_chunks)
+  in
+  { ct with c_chunks = Array.of_list kept }
+
+(* [Parallel.init] whose results pass through [commit] in index order:
+   the task that completes the lowest uncommitted index commits it and
+   every completed index after it.  A budget charged in [commit] thus
+   sees chunks in chunk order at any jobs count.  Once [commit]
+   answers stop (or raises), no further task does any work, and the
+   result is the committed prefix. *)
+let init_in_order ?cancel ~jobs n f ~commit =
+  let results = Array.make n None in
+  let lock = Mutex.create () in
+  let next = ref 0 and halted = Atomic.make false in
+  Parallel.run ?cancel ~jobs n (fun i ->
+      if not (Atomic.get halted) then begin
+        let v = f i in
+        Mutex.protect lock (fun () ->
+            results.(i) <- Some v;
+            let rec drain () =
+              if !next < n && not (Atomic.get halted) then
+                match results.(!next) with
+                | None -> ()
+                | Some v ->
+                  let j = !next in
+                  incr next;
+                  (match commit v with
+                  | v', go_on ->
+                    results.(j) <- Some v';
+                    if not go_on then Atomic.set halted true
+                  | exception e ->
+                    Atomic.set halted true;
+                    raise e);
+                  drain ()
+            in
+            drain ())
+      end);
+  Array.init !next (fun j -> Option.get results.(j))
 
 let note_chunks (chunks : Chunk.t array) =
   if Telemetry.Control.enabled () then begin
@@ -1555,7 +1665,8 @@ let chunked_project ?cancel ~jobs ct items =
    one morsel per left chunk against the read-only partition tables.
    Output order — left chunks in index order, left rows ascending,
    bucket ids ascending — is the serial row join's order. *)
-let chunked_hash_join ?cancel ~jobs lct rct ~left_keys ~right_keys =
+let chunked_hash_join ?budget ~jobs lct rct ~left_keys ~right_keys =
+  let cancel = region_cancel budget in
   let ls = lct.c_schema and rs = rct.c_schema in
   let out_schema = Schema.append ls rs in
   let lkc = Array.of_list (List.map (chunk_compile ls) left_keys) in
@@ -1592,8 +1703,24 @@ let chunked_hash_join ?cancel ~jobs lct rct ~left_keys ~right_keys =
         Ktbl.iter (fun _ ids -> ids := List.rev !ids) tbl;
         tbl)
   in
+  (* A budget is charged one left chunk at a time, in chunk order, as
+     the per-row join would charge its rows: a row limit stops the join
+     after the chunk that crosses it, and the Truncate prefix is the
+     same at any jobs count. *)
+  let commit =
+    match budget with
+    | None -> fun out -> (out, true)
+    | Some b -> (
+      function
+      | None -> (None, true)
+      | Some (ch : Chunk.t) as out ->
+        let n = ch.Chunk.length in
+        let k = Budget.admit_rows b n in
+        if k >= n then (out, true)
+        else ((if k = 0 then None else Some (chunk_prefix ch k)), false))
+  in
   let out =
-    Parallel.init ?cancel ~jobs (Array.length lct.c_chunks) (fun ci ->
+    init_in_order ?cancel ~jobs (Array.length lct.c_chunks) ~commit (fun ci ->
         let ch = lct.c_chunks.(ci) in
         let n = ch.Chunk.length in
         let rows = lazy (Chunk.rows_of ch) in
@@ -1630,9 +1757,14 @@ let chunked_hash_join ?cancel ~jobs lct rct ~left_keys ~right_keys =
             }
         end)
   in
-  let chunks = Array.of_list (List.filter_map Fun.id (Array.to_list out)) in
-  note_chunks chunks;
-  { c_schema = out_schema; c_chunks = chunks }
+  match budget with
+  | Some b when Budget.cancelled b ->
+    (* a cancelled join's partial rows are discarded above anyway *)
+    empty_ctable out_schema
+  | _ ->
+    let chunks = Array.of_list (List.filter_map Fun.id (Array.to_list out)) in
+    note_chunks chunks;
+    { c_schema = out_schema; c_chunks = chunks }
 
 (* Group-hash-partitioned chunked aggregation, mirroring the row
    path's [run_aggregate]: key and argument expressions are evaluated
@@ -1799,13 +1931,18 @@ let chunked_aggregate ?cancel ~jobs ct ~group_by ~items ~having =
    second copy of the evaluation logic.
 
    [chunked] selects the columnar executor for
-   Filter/Project/Hash_join/Aggregate (the hash join keeps the serial
-   row path under a budget, whose Truncate prefix is defined by
-   per-row emission order).  [fuse] additionally lets maximal
-   chunk-friendly subtrees evaluate column-to-column, skipping the
-   row materialization between operators; it is disabled under
-   budgets, telemetry, and profiling, which all need per-node row
-   boundaries.  Fused and unfused runs return identical results. *)
+   Filter/Project/Hash_join/Aggregate.  [fuse] additionally lets
+   maximal chunk-friendly subtrees evaluate column-to-column, skipping
+   the row materialization between operators.  A fused node keeps
+   everything a row boundary gives it: its time check, its [exec.<op>]
+   span and counters, its budget charge (output cut to the admitted
+   chunk-order prefix, the hash join charging per left chunk), and the
+   empty input handed on once a Truncate budget stops.  So fusion
+   depends on the plan and on spill only — never on a budget or
+   telemetry — and fused and unfused runs return identical results,
+   Truncate prefixes and budget accounting.  Profiling turns it off
+   ([run_profiled] records each node's rows at a row boundary), and so
+   does spill, whose threshold needs materialized join inputs. *)
 
 type ctx = {
   budget : Budget.t option;
@@ -1817,13 +1954,10 @@ type ctx = {
   spill : spill option;
 }
 
-(* spill decisions need materialized join inputs, so a spill-enabled
-   execution keeps per-node row boundaries *)
-let can_fuse ctx =
-  ctx.fuse && ctx.chunked
-  && Option.is_none ctx.budget
-  && Option.is_none ctx.spill
-  && not (Telemetry.Control.enabled ())
+let can_fuse ctx = ctx.fuse && ctx.chunked && Option.is_none ctx.spill
+
+let check_time ctx =
+  match ctx.budget with None -> () | Some b -> Budget.check_time b
 
 let base_relation ctx table =
   try ctx.catalog.relation table
@@ -1847,33 +1981,31 @@ let rec output_schema ctx (plan : Plan.t) =
     Schema.append (output_schema ctx left)
       (Schema.rename ~prefix:alias (Relation.schema (base_relation ctx table)))
 
+(* A Truncate-mode node whose region was cancelled drops the rest of
+   its work and yields the empty cancelled partial, like the per-row
+   loops' [emit_result]; the budget records the cancellation (even
+   when it had already stopped on its row limit), so every node above
+   admits nothing either and the result is reported as cancelled. *)
+let cancellable ctx plan ~empty f =
+  match ctx.budget with
+  | Some b when Budget.mode b = Budget.Truncate -> (
+    try f ()
+    with Cancel.Cancelled _ ->
+      Budget.mark_cancelled b;
+      empty (output_schema ctx plan))
+  | _ -> f ()
+
 let rec run_hooked ctx (plan : Plan.t) : Relation.t =
   (* bail out of deep plans promptly when the clock has run out *)
-  (match ctx.budget with None -> () | Some b -> Budget.check_time b);
-  let eval_node () =
-    ctx.hook plan (fun () -> eval_cancellable ctx (resolve_node ctx plan))
-  in
-  let rel =
-    if not (Telemetry.Control.enabled ()) then eval_node ()
-    else
-      Telemetry.Span.with_ ~name:("exec." ^ operator_label plan) (fun () ->
-          let t0 = Unix.gettimeofday () in
-          let rel = eval_node () in
-          Telemetry.Metrics.observe h_operator_seconds (Unix.gettimeofday () -. t0);
-          let n = Relation.cardinality rel in
-          Telemetry.Metrics.inc m_operators;
-          Telemetry.Metrics.inc ~n m_rows_out;
-          Telemetry.Span.add_attr "rows_out" (string_of_int n);
-          rel)
-  in
-  match ctx.budget with
-  | None -> rel
-  | Some _ when per_row_charged plan -> rel
-  | Some b ->
-    let n = Relation.cardinality rel in
-    let allowed = Budget.admit b n in
-    if allowed >= n then rel
-    else Relation.of_array (Relation.schema rel) (Array.sub (Relation.rows rel) 0 allowed)
+  check_time ctx;
+  traced plan ~rows:Relation.cardinality (fun () ->
+      ctx.hook plan (fun () ->
+          let node = resolve_node ctx plan in
+          cancellable ctx node
+            ~empty:(fun schema -> Relation.create schema [])
+            (fun () -> eval ctx node)))
+  |> charge_output ctx.budget plan ~rows:Relation.cardinality
+       ~prefix:relation_prefix
 
 and run_child ctx plan =
   let rel = run_hooked ctx plan in
@@ -1983,33 +2115,33 @@ and resolve_node ctx (plan : Plan.t) : Plan.t =
   | Sort { input; keys } ->
     Sort { input; keys = List.map (fun (e, d) -> (r e, d)) keys }
 
-(* A Truncate-mode node whose region was cancelled drops the rest of
-   its work and yields the empty cancelled partial, like the per-row
-   loops' [emit_result]; the budget records the cancellation (even
-   when it had already stopped on its row limit), so every node above
-   admits nothing either and the result is reported as cancelled. *)
-and eval_cancellable ctx plan =
-  match ctx.budget with
-  | Some b when Budget.mode b = Budget.Truncate -> (
-    try eval ctx plan
-    with Cancel.Cancelled _ ->
-      Budget.mark_cancelled b;
-      Relation.create (output_schema ctx plan) [])
-  | _ -> eval ctx plan
-
 (* the columnar input of a chunked operator: a fused chunk-friendly
    subtree evaluates column-to-column; anything else goes through the
-   row interpreter (keeping per-node hooks, spans, and budget
-   boundaries) and is pivoted at the operator's edge *)
+   row interpreter and is pivoted at the operator's edge *)
 and input_ctable ctx (input : Plan.t) : ctable =
   if can_fuse ctx && Plan.chunk_friendly input then eval_ctable ctx input
   else
     let cancel = region_cancel ctx.budget in
     ctable_of_relation ?cancel ~jobs:ctx.jobs (run_child ctx input)
 
+(* a fused node: [run_child] over [run_hooked], column-to-column *)
 and eval_ctable ctx (plan : Plan.t) : ctable =
+  check_time ctx;
+  let ct =
+    traced plan ~rows:ctable_rows (fun () ->
+        let node = resolve_node ctx plan in
+        cancellable ctx node ~empty:empty_ctable (fun () ->
+            eval_chunked ctx node))
+    |> charge_output ctx.budget plan ~rows:ctable_rows ~prefix:ctable_prefix
+  in
+  match ctx.budget with
+  | Some b when Budget.exhausted b -> empty_ctable ct.c_schema
+  | _ -> ct
+
+(* a chunk-friendly node over columnar inputs *)
+and eval_chunked ctx (plan : Plan.t) : ctable =
   let cancel = region_cancel ctx.budget in
-  match resolve_node ctx plan with
+  match plan with
   | Scan { table; alias } ->
     let rel = base_relation ctx table in
     let schema = Schema.rename ~prefix:alias (Relation.schema rel) in
@@ -2020,11 +2152,15 @@ and eval_ctable ctx (plan : Plan.t) : ctable =
   | Project { input; items } ->
     chunked_project ?cancel ~jobs:ctx.jobs (input_ctable ctx input) items
   | Hash_join { left; right; left_keys; right_keys } ->
-    chunked_hash_join ?cancel ~jobs:ctx.jobs (input_ctable ctx left)
-      (input_ctable ctx right) ~left_keys ~right_keys
+    (* the build side first: the budget charges the children in this
+       order, so it decides which side a row limit cuts *)
+    let rct = input_ctable ctx right in
+    let lct = input_ctable ctx left in
+    chunked_hash_join ?budget:ctx.budget ~jobs:ctx.jobs lct rct ~left_keys
+      ~right_keys
   | Index_join _ | Left_outer_join _ | Cross _ | Aggregate _ | Sort _
   | Distinct _ | Limit _ ->
-    (* [input_ctable] only routes chunk-friendly nodes here *)
+    (* only chunk-friendly nodes are routed here *)
     assert false
 
 and eval ctx (plan : Plan.t) : Relation.t =
@@ -2035,34 +2171,27 @@ and eval ctx (plan : Plan.t) : Relation.t =
     let rel = base_relation ctx table in
     let schema = Schema.rename ~prefix:alias (Relation.schema rel) in
     Relation.of_array schema (Relation.rows rel)
+  | (Filter _ | Project _) when ctx.chunked ->
+    relation_of_ctable ?cancel ~jobs (eval_chunked ctx plan)
+  | Hash_join _
+    when ctx.chunked && Option.is_none ctx.spill && Plan.chunk_friendly plan ->
+    relation_of_ctable ?cancel ~jobs (eval_chunked ctx plan)
   | Filter { input; pred } ->
-    if ctx.chunked then
-      relation_of_ctable ?cancel ~jobs
-        (chunked_filter ?cancel ~jobs (input_ctable ctx input) pred)
-    else
-      let rel = run_child ctx input in
-      run_filter ?cancel ~jobs (predicate (Relation.schema rel) pred) rel
+    let rel = run_child ctx input in
+    run_filter ?cancel ~jobs (predicate (Relation.schema rel) pred) rel
   | Project { input; items } ->
-    if ctx.chunked then
-      relation_of_ctable ?cancel ~jobs
-        (chunked_project ?cancel ~jobs (input_ctable ctx input) items)
-    else begin
-      let rel = run_child ctx input in
-      let schema = Relation.schema rel in
-      let fns = List.map (fun (e, _) -> compile schema e) items in
-      let rows =
-        run_map_rows ?cancel ~jobs
-          (fun row -> Array.of_list (List.map (fun f -> f row) fns))
-          rel
-      in
-      Relation.of_array
-        (infer_seq_schema (List.map snd items) (Array.to_seq rows))
-        rows
-    end
+    let rel = run_child ctx input in
+    let schema = Relation.schema rel in
+    let fns = List.map (fun (e, _) -> compile schema e) items in
+    let rows =
+      run_map_rows ?cancel ~jobs
+        (fun row -> Array.of_list (List.map (fun f -> f row) fns))
+        rel
+    in
+    Relation.of_array
+      (infer_seq_schema (List.map snd items) (Array.to_seq rows))
+      rows
   | Hash_join { left; right; left_keys; right_keys } -> (
-    (* with a budget the join stays on the serial row path: rows are
-       charged as they are emitted, and the Truncate prefix is defined
-       by that per-row order *)
     match ctx.spill with
     | Some sp ->
       (* spill-eligible executions materialize both sides first (the
@@ -2073,13 +2202,8 @@ and eval ctx (plan : Plan.t) : Relation.t =
         run_spill_hash_join ?budget ~spill:sp lrel rrel ~left_keys ~right_keys
       else run_hash_join ?budget ~jobs lrel rrel ~left_keys ~right_keys
     | None ->
-      if ctx.chunked && Option.is_none budget then
-        relation_of_ctable ?cancel ~jobs
-          (chunked_hash_join ?cancel ~jobs (input_ctable ctx left)
-             (input_ctable ctx right) ~left_keys ~right_keys)
-      else
-        run_hash_join ?budget ~jobs (run_child ctx left) (run_child ctx right)
-          ~left_keys ~right_keys)
+      run_hash_join ?budget ~jobs (run_child ctx left) (run_child ctx right)
+        ~left_keys ~right_keys)
   | Left_outer_join { left; right; on } ->
     run_left_outer_join ?budget (run_child ctx left) (run_child ctx right) ~on
   | Index_join { left; table; alias; left_keys; right_attrs } -> (
@@ -2162,8 +2286,12 @@ and eval ctx (plan : Plan.t) : Relation.t =
       in
       go compiled
     in
-    Relation.sort_by cmp rel
-  | Distinct input -> Relation.distinct (run_child ctx input)
+    Relation.sort_by (polling_compare cancel cmp) rel
+  | Distinct input ->
+    let morsel = max 1 !Parallel.min_rows_per_chunk in
+    Relation.distinct
+      ~poll:(fun i -> if i mod morsel = 0 then poll cancel)
+      (run_child ctx input)
   | Limit (input, n) ->
     let rel = run_child ctx input in
     let keep = min n (Relation.cardinality rel) in

@@ -36,16 +36,20 @@ val run :
     operators (hash join, filter, project, aggregate).  Results are
     bit-identical to a serial run for any [jobs]: chunk outputs are
     concatenated in input order and aggregate groups are merged in
-    first-occurrence order.  Per-row budget-charged operators fall
-    back to serial whenever [budget] is given, so [Truncate] prefixes
-    stay well-defined.
+    first-occurrence order.  A budget is charged in chunk order (a
+    node's output at its boundary, a chunked join's output one left
+    chunk at a time), so [Truncate] prefixes are the same at any
+    [jobs]; the row executor's per-row-charged joins run serially under
+    a budget.
 
     [chunked] (default [true]) selects the columnar chunk executor for
     Filter/Project/Hash_join/Aggregate: inputs are pivoted into
     {!Chunk.t} batches of [!Chunk.default_rows] rows, operators run
     one morsel (chunk) per scheduling unit, and chunk-friendly
-    subtrees fuse column-to-column when no budget is in force, no
-    spill is configured, and telemetry is off.  Chunk boundaries are a
+    subtrees fuse column-to-column unless a spill is configured.  A
+    fused node is timed, traced and budget-charged like an unfused one,
+    so fusion changes neither the result, nor the budget's accounting
+    and flags, nor the shape of a trace.  Chunk boundaries are a
     function of the data only, so the jobs=1 ≡ jobs=N guarantee
     carries over.  Results are bit-identical to [chunked:false] (the
     row-at-a-time executor): chunked aggregation partitions groups by

@@ -103,9 +103,12 @@ let rec base_tables = function
   | Distinct input | Limit (input, _) -> base_tables input
 
 (* nodes with a columnar (chunk-at-a-time) implementation; subtrees of
-   these evaluate column-to-column when the executor fuses *)
-let chunk_friendly = function
-  | Scan _ | Filter _ | Project _ | Hash_join _ -> true
+   these evaluate column-to-column when the executor fuses.  A hash
+   join qualifies only when its probe side does: a probe side produced
+   by a row operator costs more to pivot than to join as rows. *)
+let rec chunk_friendly = function
+  | Scan _ | Filter _ | Project _ -> true
+  | Hash_join { left; _ } -> chunk_friendly left
   | Index_join _ | Left_outer_join _ | Cross _ | Aggregate _ | Sort _
   | Distinct _ | Limit _ ->
     false

@@ -60,7 +60,9 @@ val base_tables : t -> (string * string) list
 (** [(table, alias)] pairs of all scans, left to right. *)
 
 val chunk_friendly : t -> bool
-(** True for nodes the chunked executor can evaluate
-    column-to-column (Scan, Filter, Project, Hash_join); subtrees of
-    such nodes fuse into a single columnar pipeline when the executor
-    runs chunked with no budget and telemetry off. *)
+(** True for nodes the chunked executor evaluates column-to-column:
+    Scan, Filter, Project, and a Hash_join whose probe (left) side is
+    itself chunk-friendly — a probe side produced by a row operator
+    costs more to pivot than to join as rows.  Subtrees of such nodes
+    fuse into a single columnar pipeline when the executor runs
+    chunked with no spill configured. *)

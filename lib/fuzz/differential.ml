@@ -4,7 +4,10 @@
    Operational path: [Rewritable.check], then [Rewrite.rewrite_exn],
    then engine execution — once per requested parallelism degree plus
    one row-at-a-time executor leg, since answers must be bit-identical
-   at any [jobs] value and the chunked and row executors must agree.
+   at any [jobs] value and the chunked and row executors must agree,
+   and once per degree in the configuration [conquer serve] executes
+   in (a Truncate budget with a deadline, a fresh cancellation token,
+   telemetry on).
    Declarative path: [Oracle.answers], candidate enumeration.
 
    A rejected query is not a failure — rejection is the fuzzer probing
@@ -20,6 +23,7 @@ type outcome =
       chunked : bool;
       mismatch : Conquer.Oracle.mismatch;
     }
+  | Served_mismatch of { jobs : int; mismatch : Conquer.Oracle.mismatch }
   | S_mismatch of {
       shards : int;
       jobs : int;
@@ -42,7 +46,9 @@ let default_jobs = [ 1; 4 ]
 let default_shards = [ 1; 2; 4 ]
 
 let failing = function
-  | Mismatch _ | S_mismatch _ | S_error _ | Error_during _ -> true
+  | Mismatch _ | Served_mismatch _ | S_mismatch _ | S_error _ | Error_during _
+    ->
+    true
   | Rejected _ | Agree _ | Oracle_too_large _ -> false
 
 let leg_label jobs chunked =
@@ -58,6 +64,9 @@ let to_string = function
   | Mismatch { jobs; chunked; mismatch } ->
     Printf.sprintf "MISMATCH at jobs=%d (%s executor): %s" jobs
       (if chunked then "chunked" else "row")
+      (Conquer.Oracle.mismatch_to_string mismatch)
+  | Served_mismatch { jobs; mismatch } ->
+    Printf.sprintf "MISMATCH at jobs=%d (served configuration): %s" jobs
       (Conquer.Oracle.mismatch_to_string mismatch)
   | S_mismatch { shards; jobs; chunked; vs_oracle; mismatch } ->
     Printf.sprintf "SHARD MISMATCH vs %s at shards=%d (%s): %s"
@@ -97,7 +106,7 @@ let run ?(jobs = default_jobs) ?(shards = default_shards)
         in
         let reference = ref None in
         let rec check_legs = function
-          | [] -> check_shards ()
+          | [] -> check_served jobs
           | (j, chunked) :: rest -> (
             let config =
               { Engine.Planner.default_config with jobs = j; chunked }
@@ -118,6 +127,48 @@ let run ?(jobs = default_jobs) ?(shards = default_shards)
               match Conquer.Oracle.compare_answers ~oracle answers with
               | Ok () -> check_legs rest
               | Error mismatch -> Mismatch { jobs = j; chunked; mismatch }))
+        (* the served legs: the daemon's execution path and budget
+           shape, with a deadline far beyond any fuzz case, so the
+           answers must be complete, agree with the oracle and be
+           bit-identical to the unbudgeted answers of the first leg *)
+        and check_served = function
+          | [] -> check_shards ()
+          | j :: rest -> (
+            let config =
+              {
+                Engine.Planner.default_config with
+                jobs = j;
+                max_elapsed = Some 60.0;
+              }
+            in
+            match
+              Telemetry.Control.with_enabled (fun () ->
+                  Conquer.Clean.answers_ast_within ~config
+                    ~cancel:(Engine.Cancel.create ()) session rewritten)
+            with
+            | exception e ->
+              Error_during
+                {
+                  stage = Printf.sprintf "execute (jobs=%d, served)" j;
+                  message = Printexc.to_string e;
+                }
+            | _, { Engine.Database.truncated = true; _ }
+            | _, { cancelled = true; _ } ->
+              Error_during
+                {
+                  stage = Printf.sprintf "execute (jobs=%d, served)" j;
+                  message = "stopped before its deadline";
+                }
+            | answers, _ -> (
+              let unbudgeted = Option.get !reference in
+              match
+                Result.bind (Conquer.Oracle.compare_answers ~oracle answers)
+                  (fun () ->
+                    Conquer.Oracle.compare_answers ~eps:0.0 ~oracle:unbudgeted
+                      answers)
+              with
+              | Ok () -> check_served rest
+              | Error mismatch -> Served_mismatch { jobs = j; mismatch }))
         (* the shards legs: scatter/gather across every shard count ×
            (jobs, executor) combination must agree with the oracle and
            be bit-identical (eps 0 — the dbgen grid keeps float sums

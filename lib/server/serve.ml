@@ -113,6 +113,14 @@ type inflight = {
   if_started_at : float;
 }
 
+(* A prepared-cache entry: the query to execute (rewritten unless the
+   mode is original), its plan, and the plan's fingerprint. *)
+type prepared = {
+  query : Sql.Ast.query;
+  plan : Engine.Plan.t;
+  plan_hash : string;
+}
+
 type t = {
   cfg : config;
   dir : string;
@@ -129,7 +137,7 @@ type t = {
   slock : Mutex.t;
   breaker : Breaker.t;
   mutable session : (int * Conquer.Clean.session) option;
-  prepared : (string, Sql.Ast.query * string) Cache.t;
+  prepared : (string, prepared) Cache.t;
   results : (string, string * int) Cache.t;
   (* observability: retained traces and the structured query log *)
   traces : Telemetry.Trace.ring;
@@ -426,27 +434,29 @@ let parse_params t req =
   in
   (deadline, budget_rows, mode)
 
-(* parse (for normalization) and rewrite once per (query, mode); the
-   prepared AST is executed directly on the engine thereafter.  The
-   plan hash rides along in the cache entry: it identifies the
-   physical plan shape in the query log, so two queries that
-   normalize differently but plan identically are groupable. *)
-let prepare t session mode sql =
+(* Parse once, rewrite the parsed AST and plan once per (query, mode,
+   generation); the cached plan is executed directly thereafter.  The
+   plan hash fingerprints that plan: it identifies the physical plan
+   shape in the query log, so two queries that normalize differently
+   but plan identically are groupable.  The generation is part of the
+   key because the plan's join order follows the session's
+   statistics. *)
+let prepare t ~generation session mode sql =
   let ast =
     try Sql.Parser.parse_query sql
     with e -> reply 400 (error_body ("parse error: " ^ Printexc.to_string e))
   in
   let normalized = Sql.Pretty.query_to_string ast in
-  let key = mode_tag mode ^ "|" ^ normalized in
+  let key = Printf.sprintf "%s|%s|g%d" (mode_tag mode) normalized generation in
   match Cache.find t.prepared key with
-  | Some (prepared, plan_hash) -> (normalized, prepared, plan_hash)
+  | Some prepared -> (normalized, prepared)
   | None ->
-    let prepared =
+    let query =
       match mode with
       | Original -> ast
       | Rewritten -> (
-        match Conquer.Clean.rewrite session sql with
-        | Ok rewritten -> Sql.Parser.parse_query rewritten
+        match Conquer.Clean.rewrite_query session ast with
+        | Ok rewritten -> rewritten
         | Error violations ->
           reply 400
             (error_body
@@ -455,15 +465,11 @@ let prepare t session mode sql =
                    (List.map Conquer.Rewritable.violation_to_string violations)
                )))
     in
-    let plan_hash =
-      try
-        Querylog.fingerprint
-          (Engine.Plan.to_string
-             (Engine.Database.plan (Conquer.Clean.engine session) prepared))
-      with _ -> ""
-    in
-    Cache.add t.prepared key (prepared, plan_hash);
-    (normalized, prepared, plan_hash)
+    let plan = Conquer.Clean.plan session query in
+    let plan_hash = Querylog.fingerprint (Engine.Plan.to_string plan) in
+    let prepared = { query; plan; plan_hash } in
+    Cache.add t.prepared key prepared;
+    (normalized, prepared)
 
 let register_inflight t info =
   locked t.ilock @@ fun () ->
@@ -508,12 +514,12 @@ let handle_query t ctx ~trace_id job req =
             (error_body detail))
   in
   ctx.cx_generation <- generation;
-  let normalized, ast, plan_hash =
+  let normalized, prepared =
     Telemetry.Span.with_ ~name:"serve.prepare" (fun () ->
-        prepare t session mode sql)
+        prepare t ~generation session mode sql)
   in
   ctx.cx_sql <- normalized;
-  ctx.cx_plan_hash <- plan_hash;
+  ctx.cx_plan_hash <- prepared.plan_hash;
   let result_key =
     Printf.sprintf "%s|%s|g%d" (mode_tag mode) normalized generation
   in
@@ -557,7 +563,8 @@ let handle_query t ctx ~trace_id job req =
               max_elapsed = Some remaining;
             }
           in
-          Conquer.Clean.answers_ast_within ~config ~cancel:token session ast)
+          Conquer.Clean.answers_plan_within ~config ~cancel:token session
+            prepared.query prepared.plan)
     in
     ctx.cx_exec <- Unix.gettimeofday () -. t_exec;
     let truncated = stop.Engine.Database.truncated in

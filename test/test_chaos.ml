@@ -763,6 +763,90 @@ let test_slow_sql_unwinds_within_bound () =
            [ 1; 2 ])
        [ 0.3; 1.0 ])
 
+(* A 1s deadline landing in a large ORDER BY or DISTINCT: both run in
+   one domain as a single sort or hash pass (several seconds
+   uncancelled here), so they must poll the token themselves — the
+   sort once per morsel of comparisons, the distinct once per morsel
+   of rows.  The query must unwind within 100ms of the deadline in
+   both budget modes at jobs 1 and 2, reporting the cancellation.  The
+   plans are hand-built so the deadline lands in the operator, not in
+   a pivot below it. *)
+let test_sort_distinct_unwind_within_bound () =
+  let deadline = 1.0 in
+  let engine = Engine.Database.create () in
+  let st = Random.State.make [| 11 |] in
+  Engine.Database.add_relation engine ~name:"sorted"
+    (Relation.create
+       (Schema.make [ ("k", Value.TInt); ("z", Value.TInt) ])
+       (List.init 400_000 (fun _ ->
+            [| v_i (Random.State.int st 1_000_000_000); v_i 0 |])));
+  (* every row distinct, each hashing four shared 4KB strings *)
+  let long = Value.String (String.make 4096 'x') in
+  Engine.Database.add_relation engine ~name:"wide"
+    (Relation.create
+       (Schema.make
+          (("k", Value.TInt)
+          :: List.init 4 (fun j -> (Printf.sprintf "s%d" j, Value.TString))))
+       (List.init 300_000 (fun i -> [| v_i i; long; long; long; long |])));
+  let scan table = Engine.Plan.Scan { table; alias = table } in
+  let sort =
+    (* 40 equal leading keys make every comparison walk all of them *)
+    Engine.Plan.Sort
+      {
+        input = scan "sorted";
+        keys =
+          List.init 40 (fun _ -> (Sql.Parser.parse_expr "sorted.z", false))
+          @ [ (Sql.Parser.parse_expr "sorted.k", false) ];
+      }
+  in
+  let distinct = Engine.Plan.Distinct (scan "wide") in
+  List.iter
+    (fun (name, plan, jobs, raise_mode) ->
+      let tok = Engine.Cancel.create () in
+      let budget =
+        Engine.Budget.create
+          ~mode:
+            (if raise_mode then Engine.Budget.Raise else Engine.Budget.Truncate)
+          ~cancel:tok
+          { max_rows = None; max_elapsed = Some deadline }
+      in
+      let label =
+        Printf.sprintf "%s jobs=%d %s" name jobs
+          (if raise_mode then "raise" else "truncate")
+      in
+      let t0 = Unix.gettimeofday () in
+      let outcome =
+        match
+          Engine.Cancel.with_deadline ~seconds:deadline tok (fun () ->
+              Engine.Database.run_plan ~budget ~jobs engine plan)
+        with
+        | rel -> `Rows (Relation.cardinality rel)
+        | exception Engine.Cancel.Cancelled _ -> `Cancelled
+      in
+      let elapsed = Unix.gettimeofday () -. t0 in
+      (match (raise_mode, outcome) with
+      | true, `Cancelled -> ()
+      | false, `Rows n ->
+        Alcotest.(check bool) (label ^ ": reported cancelled") true
+          (Engine.Budget.cancelled budget);
+        Alcotest.(check int) (label ^ ": empty cancelled partial") 0 n
+      | true, `Rows _ -> Alcotest.failf "%s: ran past its deadline" label
+      | false, `Cancelled -> Alcotest.failf "%s: Cancelled escaped" label);
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %.0fms for a %gs deadline" label (elapsed *. 1000.)
+           deadline)
+        true
+        (elapsed <= deadline +. 0.1))
+    (List.concat_map
+       (fun (name, plan) ->
+         List.concat_map
+           (fun jobs ->
+             List.map
+               (fun raise_mode -> (name, plan, jobs, raise_mode))
+               [ false; true ])
+           [ 1; 2 ])
+       [ ("ORDER BY", sort); ("DISTINCT", distinct) ])
+
 (* Deadlines share one timer domain, so far more regions than the
    runtime's 128-domain limit can be armed at once.  Every token must
    trip for its own deadline (the reason names it), never before it,
@@ -773,7 +857,9 @@ let test_deadline_regions_beyond_domain_limit () =
   let seconds i = 0.05 +. (0.001 *. float_of_int (i * 37 mod n)) in
   let toks = Array.init n (fun _ -> Engine.Cancel.create ()) in
   let seen = Array.make n infinity in
-  let t0 = Unix.gettimeofday () in
+  (* the deadlines' own monotonic clock; each trip is timed after it is
+     observed, so [seen] is never earlier than the trip itself *)
+  let t0 = Engine.Cancel.now () in
   let rec nest i =
     if i < n then
       Engine.Cancel.with_deadline ~seconds:(seconds i) toks.(i) (fun () ->
@@ -782,14 +868,13 @@ let test_deadline_regions_beyond_domain_limit () =
       let give_up = t0 +. 5.0 in
       while
         Array.exists (fun s -> s = infinity) seen
-        && Unix.gettimeofday () < give_up
+        && Engine.Cancel.now () < give_up
       do
         Unix.sleepf 0.0005;
-        let now = Unix.gettimeofday () -. t0 in
         Array.iteri
           (fun j tok ->
             if seen.(j) = infinity && Engine.Cancel.cancelled tok then
-              seen.(j) <- now)
+              seen.(j) <- Engine.Cancel.now () -. t0)
           toks
       done
   in
@@ -983,5 +1068,8 @@ let () =
             `Quick test_deadline_after_row_truncation;
           Alcotest.test_case "slow_sql unwinds within deadline + 100ms"
             `Slow test_slow_sql_unwinds_within_bound;
+          Alcotest.test_case
+            "ORDER BY and DISTINCT unwind within deadline + 100ms" `Slow
+            test_sort_distinct_unwind_within_bound;
         ] );
     ]

@@ -251,6 +251,48 @@ let test_truncate_prefix_chunked () =
   let parallel = check_at 4 in
   check_same_relation "truncated prefixes agree" serial parallel
 
+(* A hash join's children are charged build side first, fused or not:
+   with 4 build rows and 10 probe rows under a 9-row limit, the build
+   side is admitted whole and the probe side crosses the limit. *)
+let test_join_charges_build_side_first () =
+  let rel tag n =
+    Relation.create
+      (Schema.make [ ("k", Value.TInt); (tag, Value.TInt) ])
+      (List.init n (fun i -> [| v_i i; v_i i |]))
+  in
+  let catalog =
+    {
+      Engine.Exec.relation =
+        (function "l" -> rel "a" 10 | "r" -> rel "b" 4 | _ -> raise Not_found);
+      index = (fun _ _ -> None);
+    }
+  in
+  let plan =
+    Engine.Plan.Hash_join
+      {
+        left = Engine.Plan.Scan { table = "l"; alias = "l" };
+        right = Engine.Plan.Scan { table = "r"; alias = "r" };
+        left_keys = [ Sql.Parser.parse_expr "l.k" ];
+        right_keys = [ Sql.Parser.parse_expr "r.k" ];
+      }
+  in
+  let limits = { Engine.Budget.max_rows = Some 9; max_elapsed = None } in
+  List.iter
+    (fun profiled ->
+      let run budget =
+        if profiled then fst (Engine.Exec.run_profiled ~budget catalog plan)
+        else Engine.Exec.run ~budget catalog plan
+      in
+      (match run (Engine.Budget.create limits) with
+      | _ -> Alcotest.fail "row limit not enforced"
+      | exception Engine.Budget.Exceeded { produced; _ } ->
+        Alcotest.(check int) "Raise: build rows + probe rows" 14 produced);
+      let b = Engine.Budget.create ~mode:Engine.Budget.Truncate limits in
+      Alcotest.(check int) "Truncate: nothing joins" 0
+        (Relation.cardinality (run b));
+      Alcotest.(check int) "Truncate: produced" 14 (Engine.Budget.produced b))
+    [ false; true ]
+
 (* ---- randomized equivalence (QCheck) ---- *)
 
 let ( let* ) gen f = QCheck.Gen.( >>= ) gen f
@@ -401,6 +443,115 @@ let prop_truncate_prefix =
           check_same_relation "prefixes" (at 1) (at 4);
           true))
 
+(* Fusion is invisible: [Exec.run] (fused) and [Exec.run_profiled]
+   (every node at a row boundary) return the same rows, stop flags and
+   budget accounting under every budget shape the executor sees — none,
+   time-only, and row limits in both modes — with telemetry on or off.
+   Plans are fused Filter/Project/Hash_join pipelines under a join
+   tree and an aggregate, so row limits land inside the pipelines, in
+   joins and at their boundaries. *)
+
+let fusion_queries =
+  List.map Sql.Parser.parse_query
+    [
+      "select l.a, r.b from l, r where l.k = r.k";
+      "select l.a, r.b from l, r where l.k = r.k and r.b <> 'r7' and l.k > 2";
+      "select x.a, y.b, z.b from l x, r y, r z where x.k = y.k and y.k = z.k";
+      "select l.k, count(*), min(r.b) from l, r where l.k = r.k group by l.k";
+    ]
+
+type fusion_outcome =
+  | Rows of Relation.t * bool * bool * int
+  | Exceeded of int
+  | Cancelled
+
+let fusion_budgets =
+  let rows n = { Engine.Budget.max_rows = Some n; max_elapsed = None } in
+  let time = { Engine.Budget.max_rows = None; max_elapsed = Some 60.0 } in
+  None
+  :: List.concat_map
+       (fun limits ->
+         [
+           Some (Engine.Budget.Truncate, limits);
+           Some (Engine.Budget.Raise, limits);
+         ])
+       (time :: List.map rows [ 0; 1; 5; 17; 60; 400 ])
+
+let fusion_run ~profiled ~jobs catalog plan spec =
+  let budget =
+    Option.map
+      (fun (mode, limits) ->
+        Engine.Budget.create ~mode ~cancel:(Engine.Cancel.create ()) limits)
+      spec
+  in
+  match
+    if profiled then fst (Engine.Exec.run_profiled ?budget ~jobs catalog plan)
+    else Engine.Exec.run ?budget ~jobs catalog plan
+  with
+  | rel -> (
+    match budget with
+    | None -> Rows (rel, false, false, 0)
+    | Some b ->
+      Rows
+        ( rel,
+          Engine.Budget.truncated b,
+          Engine.Budget.cancelled b,
+          Engine.Budget.produced b ))
+  | exception Engine.Budget.Exceeded { produced; _ } -> Exceeded produced
+  | exception Engine.Cancel.Cancelled _ -> Cancelled
+
+let check_fusion_outcome msg unfused fused =
+  match (unfused, fused) with
+  | Rows (u, ut, uc, up), Rows (f, ft, fc, fp) ->
+    check_same_relation msg u f;
+    Alcotest.(check (triple bool bool int))
+      (msg ^ ": truncated, cancelled, produced")
+      (ut, uc, up) (ft, fc, fp)
+  | Exceeded u, Exceeded f ->
+    Alcotest.(check int) (msg ^ ": produced at Exceeded") u f
+  | Cancelled, Cancelled -> ()
+  | _ -> Alcotest.failf "%s: fused and unfused runs ended differently" msg
+
+let prop_fused_equals_unfused =
+  QCheck.Test.make ~count:25
+    ~name:"fused run equals unfused profile under every budget shape"
+    (QCheck.make join_pair_gen)
+    (fun (left, right) ->
+      let engine = Engine.Database.create () in
+      Engine.Database.add_relation engine ~name:"l" left;
+      Engine.Database.add_relation engine ~name:"r" right;
+      let catalog =
+        {
+          Engine.Exec.relation = Engine.Database.relation engine;
+          index = (fun table attr -> Engine.Database.index engine ~table ~attr);
+        }
+      in
+      List.iter
+        (fun q ->
+          let plan = Engine.Database.plan engine q in
+          List.iter
+            (fun (telemetry, jobs, spec) ->
+              let run profiled =
+                let f () = fusion_run ~profiled ~jobs catalog plan spec in
+                if telemetry then Telemetry.Control.with_enabled f
+                else Telemetry.Control.with_disabled f
+              in
+              check_fusion_outcome
+                (Printf.sprintf "%s (jobs=%d, telemetry %b)"
+                   (Engine.Plan.to_string plan) jobs telemetry)
+                (run true) (run false))
+            (List.concat_map
+               (fun telemetry ->
+                 List.concat_map
+                   (fun jobs ->
+                     List.map
+                       (fun spec -> (telemetry, jobs, spec))
+                       fusion_budgets)
+                   [ 1; 4 ])
+               [ false; true ]))
+        fusion_queries;
+      true)
+
 let () =
   Alcotest.run "chunk"
     [
@@ -424,6 +575,8 @@ let () =
             test_empty_and_all_null;
           Alcotest.test_case "truncate prefix" `Quick
             test_truncate_prefix_chunked;
+          Alcotest.test_case "join charges its build side first" `Quick
+            test_join_charges_build_side_first;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
@@ -432,5 +585,6 @@ let () =
             prop_chunked_join_equivalence;
             prop_chunked_equals_row_int_aggregates;
             prop_truncate_prefix;
+            prop_fused_equals_unfused;
           ] );
     ]

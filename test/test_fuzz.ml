@@ -3,7 +3,9 @@
    The headline property: on random dirty databases and random SPJ
    queries, whenever [Rewritable.check] accepts, RewriteClean on the
    engine agrees exactly with the candidate-enumeration oracle — at
-   jobs=1 and jobs=4.  Around it: the oracle's own invariants, sampler
+   jobs=1 and jobs=4, unbudgeted and in the daemon's configuration (a
+   Truncate budget with a deadline, a fresh cancellation token,
+   telemetry on).  Around it: the oracle's own invariants, sampler
    convergence to oracle probabilities, the SQL pretty-printer
    round-trip on generated queries, corpus round-trip and replay, and
    the shrinker actually shrinking. *)
